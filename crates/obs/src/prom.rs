@@ -1,8 +1,9 @@
 //! Prometheus text exposition format (version 0.0.4) rendering helpers.
 //!
-//! The server's `/metrics?format=prometheus` endpoint renders every
-//! counter and histogram it serves as JSON through this writer, so the
-//! two forms stay reconciled: same snapshot in, both renderings out.
+//! The server declares its `/metrics` families once, in one table, and
+//! walks that table twice: into its JSON tree and, through this writer,
+//! into exposition text. The writer owns only the text grammar; which
+//! families exist and what they read is the table's business.
 //!
 //! Layout rules implemented here (the subset the format mandates):
 //!

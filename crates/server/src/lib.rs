@@ -22,8 +22,8 @@
 //!   (chase, forest, route, print, shard locks, WAL append/fsync,
 //!   checkpoint) record spans into the tracer's ring.
 //! * [`metrics`] — atomic counters plus a request-latency histogram
-//!   (with per-bucket trace-id exemplars), rendered as JSON and as
-//!   Prometheus text exposition.
+//!   (with per-bucket trace-id exemplars), declared once in a family
+//!   table that renders both the JSON and the Prometheus text form.
 //! * [`window`] — a ring of one-second slots giving the last N seconds
 //!   of traffic as live rps, error rate, and interpolated p50/p90/p99
 //!   (the `window` block of `/metrics`).

@@ -1,19 +1,41 @@
-//! Service counters, lock-free via atomics.
+//! Service counters, lock-free via atomics, and the `/metrics` registry.
 //!
 //! One [`Metrics`] instance is shared by every worker thread; all updates
 //! are relaxed (counters tolerate reordering, they only need to not lose
 //! increments). `GET /metrics` renders a snapshot.
+//!
+//! ## One table, two renderings
+//!
+//! Every family `/metrics` serves is declared once, as a row of
+//! [`FAMILIES`]: its Prometheus name, kind, help text, JSON path, and a
+//! reader that emits its series from one [`Sources`] snapshot. Two walkers
+//! render the table: [`Metrics::to_json_with_store`] places every series
+//! at its JSON path, and [`Metrics::to_prometheus`] writes it through
+//! [`PromText`]. Adding a metric is adding a row, and the two forms cannot
+//! drift apart. The table's order is the exposition's family order and
+//! the JSON key order.
+//!
+//! A JSON path is dot-separated object keys. `{label}` stands for the
+//! series' value of that label (`responses_{class}` for `class="2xx"`),
+//! and a `[{label}]` suffix indexes an array
+//! (`session_store.shards[{shard}].hits`). A histogram renders as
+//! `[{le_us, count}, ...]`; one that tracks a sum renders as
+//! `{count, total_us, latency_us}`, its `count` summed from the same
+//! bucket snapshot Prometheus turns into `_count`. Exemplars, which
+//! Prometheus prints on bucket lines, go to the top-level `exemplars` list
+//! of `{le_us, trace_id, dur_us}`.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use routes_model::JoinSnapshot;
+use routes_obs::PromText;
 use routes_store::{PersistSnapshot, FSYNC_BUCKETS_US};
 
 use crate::json::Json;
 use crate::session::{ShardSnapshot, StoreSnapshot, LOCK_WAIT_BUCKETS_US};
-use crate::window::{window_seconds_from_env, WindowRing, WindowSnapshot};
+use crate::window::{WindowRing, WindowSnapshot};
 
 /// Upper bounds (µs) of the request-latency histogram buckets; the last
 /// bucket is unbounded.
@@ -56,44 +78,26 @@ impl Phase {
     }
 }
 
-/// Per-phase wall-time accounting: sample count, total microseconds, and a
-/// latency histogram over [`LATENCY_BUCKETS_US`].
+/// Per-phase wall-time accounting: total microseconds and a latency
+/// histogram over [`LATENCY_BUCKETS_US`], whose bucket sum is the sample
+/// count.
 #[derive(Default)]
 pub struct PhaseStats {
-    pub count: AtomicU64,
     pub total_us: AtomicU64,
     latency: [AtomicU64; LATENCY_BUCKETS_US.len() + 1],
 }
 
 impl PhaseStats {
     fn record(&self, latency: Duration) {
-        self.count.fetch_add(1, Relaxed);
         let us = latency.as_micros().min(u128::from(u64::MAX)) as u64;
         self.total_us.fetch_add(us, Relaxed);
         self.latency[bucket_of(us)].fetch_add(1, Relaxed);
     }
-
-    fn latency_counts(&self) -> Vec<u64> {
-        self.latency.iter().map(|c| c.load(Relaxed)).collect()
-    }
-
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("count", Json::from(self.count.load(Relaxed))),
-            ("total_us", Json::from(self.total_us.load(Relaxed))),
-            (
-                "latency_us",
-                histogram_json(&LATENCY_BUCKETS_US, &self.latency_counts()),
-            ),
-        ])
-    }
 }
 
 /// Shared service counters.
+#[derive(Default)]
 pub struct Metrics {
-    /// When this instance was created (serving process start, in
-    /// practice); `/metrics` renders the elapsed time as `uptime_seconds`.
-    started: Instant,
     pub requests_total: AtomicU64,
     pub responses_2xx: AtomicU64,
     pub responses_4xx: AtomicU64,
@@ -143,7 +147,8 @@ pub struct Metrics {
     latency: [AtomicU64; LATENCY_BUCKETS_US.len() + 1],
     phases: [PhaseStats; Phase::ALL.len()],
     /// Rolling one-second traffic windows (live rps / error rate / tail
-    /// latency; `ROUTES_WINDOW_SECONDS` sizes the ring).
+    /// latency); its clock, started with this instance, is also the
+    /// uptime clock.
     window: WindowRing,
     /// Per-latency-bucket exemplar: the trace id and duration of the
     /// slowest recent request that landed in the bucket, linking a
@@ -170,194 +175,14 @@ fn bucket_of(us: u64) -> usize {
         .unwrap_or(LATENCY_BUCKETS_US.len())
 }
 
-/// Render a histogram as `[{le_us, count}, ...]`; `counts` must hold one
-/// entry per bound plus the final unbounded bucket.
-fn histogram_json(bounds: &[u64], counts: &[u64]) -> Json {
-    debug_assert_eq!(counts.len(), bounds.len() + 1);
-    Json::Array(
-        counts
-            .iter()
-            .enumerate()
-            .map(|(i, &count)| {
-                let le = bounds
-                    .get(i)
-                    .map_or_else(|| "inf".to_owned(), |b| b.to_string());
-                Json::obj([("le_us", Json::from(le)), ("count", Json::from(count))])
-            })
-            .collect(),
-    )
-}
-
-fn shard_json(shard: &ShardSnapshot) -> Json {
-    Json::obj([
-        ("sessions", Json::from(shard.sessions)),
-        ("capacity", Json::from(shard.capacity)),
-        ("hits", Json::from(shard.hits)),
-        ("misses", Json::from(shard.misses)),
-        ("inserts", Json::from(shard.inserts)),
-        ("removes", Json::from(shard.removes)),
-        ("evictions", Json::from(shard.evictions)),
-        ("demotions", Json::from(shard.demotions)),
-        ("evict_scan_steps", Json::from(shard.evict_scan_steps)),
-        ("write_locks", Json::from(shard.write_locks)),
-        (
-            "lock_wait_read_us",
-            histogram_json(&LOCK_WAIT_BUCKETS_US, &shard.lock_wait_read_us),
-        ),
-        (
-            "lock_wait_write_us",
-            histogram_json(&LOCK_WAIT_BUCKETS_US, &shard.lock_wait_write_us),
-        ),
-    ])
-}
-
-/// Render a session-store snapshot: store-wide totals plus the per-shard
-/// counter blocks (`/metrics` embeds this as `session_store`).
-pub fn store_json(store: &StoreSnapshot) -> Json {
-    Json::obj([
-        ("capacity", Json::from(store.capacity)),
-        ("shard_count", Json::from(store.shards.len())),
-        ("live_sessions", Json::from(store.live())),
-        ("hits", Json::from(store.hits())),
-        ("misses", Json::from(store.misses())),
-        ("inserts", Json::from(store.inserts())),
-        ("removes", Json::from(store.removes())),
-        ("evictions", Json::from(store.evictions())),
-        ("evict_scan_steps", Json::from(store.evict_scan_steps())),
-        ("write_locks", Json::from(store.write_locks())),
-        (
-            "shards",
-            Json::Array(store.shards.iter().map(shard_json).collect()),
-        ),
-    ])
-}
-
-impl Default for Metrics {
-    fn default() -> Self {
-        Metrics::new()
-    }
-}
-
-/// Render the persistence counters (`/metrics` embeds this as
-/// `persistence` when a data directory is configured).
-pub fn persist_json(p: &PersistSnapshot) -> Json {
-    Json::obj([
-        ("wal_gen", Json::from(p.wal_gen)),
-        ("wal_appends", Json::from(p.wal_appends)),
-        ("wal_bytes", Json::from(p.wal_bytes)),
-        (
-            "wal_records_since_checkpoint",
-            Json::from(p.wal_records_since_checkpoint),
-        ),
-        ("fsync_batches", Json::from(p.fsync_batches)),
-        ("fsync_records", Json::from(p.fsync_records)),
-        (
-            "fsync_latency_us",
-            histogram_json(&FSYNC_BUCKETS_US, &p.fsync_latency_us),
-        ),
-        ("snapshots_written", Json::from(p.snapshots_written)),
-        ("replayed_records", Json::from(p.replayed_records)),
-        ("restored_sessions", Json::from(p.restored_sessions)),
-        ("recovery_us", Json::from(p.recovery_us)),
-    ])
-}
-
-/// Render a window snapshot (`/metrics` embeds this as `window`). All
-/// integer-valued: rates milli-scaled, quantiles in µs (see
-/// [`WindowSnapshot`]).
-pub fn window_json(w: &WindowSnapshot) -> Json {
-    Json::obj([
-        ("seconds", Json::from(w.seconds)),
-        ("requests", Json::from(w.requests)),
-        ("errors", Json::from(w.errors)),
-        ("rps_milli", Json::from(w.rps_milli)),
-        ("error_rate_milli", Json::from(w.error_rate_milli)),
-        ("p50_us", Json::from(w.p50_us)),
-        ("p90_us", Json::from(w.p90_us)),
-        ("p99_us", Json::from(w.p99_us)),
-    ])
-}
-
-/// Render the occupied latency-bucket exemplars as
-/// `[{le_us, trace_id, dur_us}, ...]` (`/metrics` embeds this as
-/// `exemplars`; same `(trace, duration)` pairs the Prometheus rendering
-/// annotates its bucket lines with).
-fn exemplars_json(exemplars: &[Option<(String, u64)>]) -> Json {
-    Json::Array(
-        exemplars
-            .iter()
-            .enumerate()
-            .filter_map(|(i, e)| e.as_ref().map(|(trace, dur)| (i, trace, dur)))
-            .map(|(i, trace, &dur)| {
-                let le = LATENCY_BUCKETS_US
-                    .get(i)
-                    .map_or_else(|| "inf".to_owned(), |b| b.to_string());
-                Json::obj([
-                    ("le_us", Json::from(le)),
-                    ("trace_id", Json::from(trace.as_str())),
-                    ("dur_us", Json::from(dur)),
-                ])
-            })
-            .collect(),
-    )
-}
-
-/// Render the vectorized-join counters (`/metrics` embeds this as `join`).
-pub fn join_json(j: &JoinSnapshot) -> Json {
-    Json::obj([
-        ("batches", Json::from(j.batches)),
-        ("rows_probed", Json::from(j.rows_probed)),
-        ("index_probes", Json::from(j.index_probes)),
-        ("hash_builds", Json::from(j.hash_builds)),
-        ("hash_build_rows", Json::from(j.hash_build_rows)),
-    ])
-}
-
 impl Metrics {
     pub fn new() -> Self {
-        Metrics {
-            started: Instant::now(),
-            requests_total: AtomicU64::new(0),
-            responses_2xx: AtomicU64::new(0),
-            responses_4xx: AtomicU64::new(0),
-            responses_5xx: AtomicU64::new(0),
-            bad_requests: AtomicU64::new(0),
-            connections_accepted: AtomicU64::new(0),
-            admission_queue_capacity: AtomicU64::new(0),
-            admission_queue_depth: AtomicU64::new(0),
-            admission_admitted: AtomicU64::new(0),
-            admission_shed: AtomicU64::new(0),
-            admission_timeouts: AtomicU64::new(0),
-            admission_reaped: AtomicU64::new(0),
-            admission_queue_wait: Default::default(),
-            sessions_created: AtomicU64::new(0),
-            sessions_deleted: AtomicU64::new(0),
-            sessions_evicted: AtomicU64::new(0),
-            one_routes_computed: AtomicU64::new(0),
-            all_routes_computed: AtomicU64::new(0),
-            forest_cache_hits: AtomicU64::new(0),
-            forest_cache_misses: AtomicU64::new(0),
-            edits_applied: AtomicU64::new(0),
-            edits_rejected: AtomicU64::new(0),
-            edit_ops_applied: AtomicU64::new(0),
-            edit_forests_kept: AtomicU64::new(0),
-            edit_forests_invalidated: AtomicU64::new(0),
-            pipeline_sessions_created: AtomicU64::new(0),
-            pipeline_stage_chases: AtomicU64::new(0),
-            pipeline_core_runs: AtomicU64::new(0),
-            pipeline_core_tuples_removed: AtomicU64::new(0),
-            pipeline_stitched_routes: AtomicU64::new(0),
-            pipeline_stitched_hops: AtomicU64::new(0),
-            latency: Default::default(),
-            phases: Default::default(),
-            window: WindowRing::new(window_seconds_from_env()),
-            exemplars: Default::default(),
-        }
+        Metrics::default()
     }
 
     /// Seconds since this metrics instance (the serving process) started.
     pub fn uptime_seconds(&self) -> u64 {
-        self.started.elapsed().as_secs()
+        self.window.epoch()
     }
 
     /// Count one handled request with its response status and latency.
@@ -429,10 +254,7 @@ impl Metrics {
     /// Snapshot of the queue-wait histogram (one count per latency bucket
     /// plus the unbounded tail).
     pub fn queue_wait_counts(&self) -> Vec<u64> {
-        self.admission_queue_wait
-            .iter()
-            .map(|c| c.load(Relaxed))
-            .collect()
+        load_all(&self.admission_queue_wait)
     }
 
     /// The accounting of one phase (snapshot reads).
@@ -440,12 +262,13 @@ impl Metrics {
         &self.phases[phase as usize]
     }
 
-    /// [`Metrics::to_json`] plus the vectorized-join counter block, the
-    /// sharded session-store counter block and, when durability is enabled,
-    /// the `persistence` block (what `GET /metrics` actually serves). The
-    /// join counters are process-wide ([`routes_model::joinstats`]); the
-    /// caller passes an explicit snapshot so both renderings of one request
-    /// agree and tests stay deterministic.
+    /// The snapshot `GET /metrics` serves as JSON: every row of
+    /// [`FAMILIES`] at its JSON path. The join counters are process-wide
+    /// ([`routes_model::joinstats`]) and the store and persistence
+    /// counters live elsewhere; the caller passes explicit snapshots so
+    /// both renderings of one request agree and tests stay deterministic.
+    /// `threads` is the worker pool width used for parallel chase / forest
+    /// construction.
     pub fn to_json_with_store(
         &self,
         store: &StoreSnapshot,
@@ -453,169 +276,42 @@ impl Metrics {
         join: &JoinSnapshot,
         threads: usize,
     ) -> Json {
-        let mut snapshot = self.to_json(store.live(), threads);
-        if let Json::Object(fields) = &mut snapshot {
-            fields.push(("join".to_owned(), join_json(join)));
-            fields.push(("session_store".to_owned(), store_json(store)));
-            if let Some(persist) = persist {
-                fields.push(("persistence".to_owned(), persist_json(persist)));
-            }
+        let sources = self.sources(store, persist, join, threads);
+        let mut root = Json::Object(Vec::new());
+        for family in FAMILIES {
+            family.series(&sources, &mut |labels, value| {
+                let path = fill(family.json, labels);
+                let bounds = family.bounds();
+                match value {
+                    Value::Int(n) => *slot(&mut root, &path) = Json::from(n),
+                    Value::Info(text) => *slot(&mut root, &path) = Json::from(text),
+                    Value::Hist {
+                        counts,
+                        sum,
+                        exemplars,
+                    } => {
+                        let buckets = buckets_json(bounds, &counts);
+                        *slot(&mut root, &path) = match sum {
+                            None => buckets,
+                            Some(sum) => Json::obj([
+                                ("count", Json::from(counts.iter().sum::<u64>())),
+                                ("total_us", Json::from(sum)),
+                                ("latency_us", buckets),
+                            ]),
+                        };
+                        if let Some(exemplars) = exemplars {
+                            *slot(&mut root, "exemplars") = exemplars_json(bounds, exemplars);
+                        }
+                    }
+                }
+            });
         }
-        snapshot
+        root
     }
 
-    /// Render the snapshot served by `GET /metrics`. `threads` is the worker
-    /// pool width used for parallel chase / forest construction.
-    pub fn to_json(&self, live_sessions: usize, threads: usize) -> Json {
-        let latency: Vec<u64> = self.latency.iter().map(|c| c.load(Relaxed)).collect();
-        let hist = histogram_json(&LATENCY_BUCKETS_US, &latency);
-        let phases = Json::Object(
-            Phase::ALL
-                .iter()
-                .map(|&p| (p.name().to_owned(), self.phases[p as usize].to_json()))
-                .collect(),
-        );
-        Json::obj([
-            ("version", Json::from(env!("CARGO_PKG_VERSION"))),
-            ("uptime_seconds", Json::from(self.uptime_seconds())),
-            ("threads", Json::from(threads)),
-            (
-                "requests_total",
-                Json::from(self.requests_total.load(Relaxed)),
-            ),
-            (
-                "responses_2xx",
-                Json::from(self.responses_2xx.load(Relaxed)),
-            ),
-            (
-                "responses_4xx",
-                Json::from(self.responses_4xx.load(Relaxed)),
-            ),
-            (
-                "responses_5xx",
-                Json::from(self.responses_5xx.load(Relaxed)),
-            ),
-            ("bad_requests", Json::from(self.bad_requests.load(Relaxed))),
-            (
-                "connections_accepted",
-                Json::from(self.connections_accepted.load(Relaxed)),
-            ),
-            ("live_sessions", Json::from(live_sessions)),
-            (
-                "sessions_created",
-                Json::from(self.sessions_created.load(Relaxed)),
-            ),
-            (
-                "sessions_deleted",
-                Json::from(self.sessions_deleted.load(Relaxed)),
-            ),
-            (
-                "sessions_evicted",
-                Json::from(self.sessions_evicted.load(Relaxed)),
-            ),
-            (
-                "one_routes_computed",
-                Json::from(self.one_routes_computed.load(Relaxed)),
-            ),
-            (
-                "all_routes_computed",
-                Json::from(self.all_routes_computed.load(Relaxed)),
-            ),
-            (
-                "forest_cache_hits",
-                Json::from(self.forest_cache_hits.load(Relaxed)),
-            ),
-            (
-                "forest_cache_misses",
-                Json::from(self.forest_cache_misses.load(Relaxed)),
-            ),
-            (
-                "edits",
-                Json::obj([
-                    ("applied", Json::from(self.edits_applied.load(Relaxed))),
-                    ("rejected", Json::from(self.edits_rejected.load(Relaxed))),
-                    (
-                        "ops_applied",
-                        Json::from(self.edit_ops_applied.load(Relaxed)),
-                    ),
-                    (
-                        "forests_kept",
-                        Json::from(self.edit_forests_kept.load(Relaxed)),
-                    ),
-                    (
-                        "forests_invalidated",
-                        Json::from(self.edit_forests_invalidated.load(Relaxed)),
-                    ),
-                ]),
-            ),
-            (
-                "pipeline",
-                Json::obj([
-                    (
-                        "sessions_created",
-                        Json::from(self.pipeline_sessions_created.load(Relaxed)),
-                    ),
-                    (
-                        "stage_chases",
-                        Json::from(self.pipeline_stage_chases.load(Relaxed)),
-                    ),
-                    (
-                        "core_runs",
-                        Json::from(self.pipeline_core_runs.load(Relaxed)),
-                    ),
-                    (
-                        "core_tuples_removed",
-                        Json::from(self.pipeline_core_tuples_removed.load(Relaxed)),
-                    ),
-                    (
-                        "stitched_routes",
-                        Json::from(self.pipeline_stitched_routes.load(Relaxed)),
-                    ),
-                    (
-                        "stitched_hops",
-                        Json::from(self.pipeline_stitched_hops.load(Relaxed)),
-                    ),
-                ]),
-            ),
-            (
-                "admission",
-                Json::obj([
-                    (
-                        "queue_capacity",
-                        Json::from(self.admission_queue_capacity.load(Relaxed)),
-                    ),
-                    (
-                        "queue_depth",
-                        Json::from(self.admission_queue_depth.load(Relaxed)),
-                    ),
-                    (
-                        "admitted",
-                        Json::from(self.admission_admitted.load(Relaxed)),
-                    ),
-                    ("shed", Json::from(self.admission_shed.load(Relaxed))),
-                    (
-                        "timeouts",
-                        Json::from(self.admission_timeouts.load(Relaxed)),
-                    ),
-                    ("reaped", Json::from(self.admission_reaped.load(Relaxed))),
-                    (
-                        "queue_wait_us",
-                        histogram_json(&LATENCY_BUCKETS_US, &self.queue_wait_counts()),
-                    ),
-                ]),
-            ),
-            ("latency_us", hist),
-            ("exemplars", exemplars_json(&self.exemplars())),
-            ("window", window_json(&self.window())),
-            ("phases", phases),
-        ])
-    }
-
-    /// Render the same snapshot [`Metrics::to_json_with_store`] serves, in
-    /// Prometheus text exposition format. Every JSON counter, gauge, and
-    /// histogram has a named (and, for shards and phases, labeled) family
-    /// here; the reconciliation test in `tests/prometheus.rs` holds the two
-    /// renderings equal field for field.
+    /// The same snapshot [`Metrics::to_json_with_store`] serves, in
+    /// Prometheus text exposition format: every row of [`FAMILIES`] with
+    /// at least one series, announced once, in table order.
     pub fn to_prometheus(
         &self,
         store: &StoreSnapshot,
@@ -623,586 +319,558 @@ impl Metrics {
         join: &JoinSnapshot,
         threads: usize,
     ) -> String {
-        use routes_obs::PromText;
+        let sources = self.sources(store, persist, join, threads);
         let mut w = PromText::new();
-
-        w.family(
-            "routes_build_info",
-            "gauge",
-            "Build metadata; the value is always 1.",
-        );
-        w.sample(
-            "routes_build_info",
-            &[("version", env!("CARGO_PKG_VERSION"))],
-            1,
-        );
-        w.family(
-            "routes_uptime_seconds",
-            "gauge",
-            "Seconds since the serving process started.",
-        );
-        w.sample("routes_uptime_seconds", &[], self.uptime_seconds());
-        w.family(
-            "routes_threads",
-            "gauge",
-            "Worker pool width for parallel chase and forest construction.",
-        );
-        w.sample("routes_threads", &[], threads as u64);
-
-        w.family(
-            "routes_requests_total",
-            "counter",
-            "Requests handled (any status).",
-        );
-        w.sample(
-            "routes_requests_total",
-            &[],
-            self.requests_total.load(Relaxed),
-        );
-        w.family(
-            "routes_responses_total",
-            "counter",
-            "Responses by status class.",
-        );
-        for (class, counter) in [
-            ("2xx", &self.responses_2xx),
-            ("4xx", &self.responses_4xx),
-            ("5xx", &self.responses_5xx),
-        ] {
-            w.sample(
-                "routes_responses_total",
-                &[("class", class)],
-                counter.load(Relaxed),
-            );
+        for family in FAMILIES {
+            let kind = match family.kind {
+                Kind::Counter => "counter",
+                Kind::Gauge => "gauge",
+                Kind::Histogram(_) => "histogram",
+                Kind::JsonOnly => continue,
+            };
+            let mut announced = false;
+            family.series(&sources, &mut |labels, value| {
+                if !std::mem::replace(&mut announced, true) {
+                    w.family(family.name, kind, family.help);
+                }
+                let (name, bounds) = (family.name, family.bounds());
+                match value {
+                    Value::Int(n) => w.sample(name, labels, n),
+                    Value::Info(_) => w.sample(name, labels, 1),
+                    Value::Hist {
+                        counts,
+                        sum,
+                        exemplars: None,
+                    } => w.histogram(name, labels, bounds, &counts, sum),
+                    Value::Hist {
+                        counts,
+                        sum,
+                        exemplars: Some(exemplars),
+                    } => w.histogram_with_exemplars(name, labels, bounds, &counts, sum, &exemplars),
+                }
+            });
         }
-        w.family(
-            "routes_bad_requests_total",
-            "counter",
-            "Requests rejected before dispatch (parse errors, limits).",
-        );
-        w.sample(
-            "routes_bad_requests_total",
-            &[],
-            self.bad_requests.load(Relaxed),
-        );
-        w.family(
-            "routes_connections_accepted_total",
-            "counter",
-            "TCP connections accepted.",
-        );
-        w.sample(
-            "routes_connections_accepted_total",
-            &[],
-            self.connections_accepted.load(Relaxed),
-        );
-
-        w.family(
-            "routes_admission_queue_capacity",
-            "gauge",
-            "Bound of the acceptor's connection queue (--max-queue).",
-        );
-        w.sample(
-            "routes_admission_queue_capacity",
-            &[],
-            self.admission_queue_capacity.load(Relaxed),
-        );
-        w.family(
-            "routes_admission_queue_depth",
-            "gauge",
-            "Connections currently waiting in the admission queue.",
-        );
-        w.sample(
-            "routes_admission_queue_depth",
-            &[],
-            self.admission_queue_depth.load(Relaxed),
-        );
-        for (name, help, counter) in [
-            (
-                "routes_admission_admitted_total",
-                "Connections admitted into the acceptor's queue.",
-                &self.admission_admitted,
-            ),
-            (
-                "routes_admission_shed_total",
-                "Connections shed at the door with 429 Too Many Requests.",
-                &self.admission_shed,
-            ),
-            (
-                "routes_admission_timeouts_total",
-                "Requests answered 408 after the request deadline expired.",
-                &self.admission_timeouts,
-            ),
-            (
-                "routes_admission_reaped_total",
-                "Connections force-closed by a deadline (stalled readers/writers).",
-                &self.admission_reaped,
-            ),
-        ] {
-            w.family(name, "counter", help);
-            w.sample(name, &[], counter.load(Relaxed));
-        }
-        w.family(
-            "routes_admission_queue_wait_us",
-            "histogram",
-            "Time connections spent queued before a worker popped them, in microseconds.",
-        );
-        w.histogram(
-            "routes_admission_queue_wait_us",
-            &[],
-            &LATENCY_BUCKETS_US,
-            &self.queue_wait_counts(),
-            None,
-        );
-
-        w.family(
-            "routes_live_sessions",
-            "gauge",
-            "Sessions currently resident in the store.",
-        );
-        w.sample("routes_live_sessions", &[], store.live() as u64);
-        for (name, help, counter) in [
-            (
-                "routes_sessions_created_total",
-                "Sessions created.",
-                &self.sessions_created,
-            ),
-            (
-                "routes_sessions_deleted_total",
-                "Sessions deleted by clients.",
-                &self.sessions_deleted,
-            ),
-            (
-                "routes_sessions_evicted_total",
-                "Sessions evicted at capacity.",
-                &self.sessions_evicted,
-            ),
-            (
-                "routes_one_routes_computed_total",
-                "ComputeOneRoute invocations.",
-                &self.one_routes_computed,
-            ),
-            (
-                "routes_all_routes_computed_total",
-                "ComputeAllRoutes invocations.",
-                &self.all_routes_computed,
-            ),
-            (
-                "routes_forest_cache_hits_total",
-                "Route-forest memo hits.",
-                &self.forest_cache_hits,
-            ),
-            (
-                "routes_forest_cache_misses_total",
-                "Route-forest memo misses (forest built).",
-                &self.forest_cache_misses,
-            ),
-            (
-                "routes_edits_applied_total",
-                "Edit batches applied.",
-                &self.edits_applied,
-            ),
-            (
-                "routes_edits_rejected_total",
-                "Edit batches rejected by validation.",
-                &self.edits_rejected,
-            ),
-            (
-                "routes_edit_ops_applied_total",
-                "Individual edit ops applied (across batches).",
-                &self.edit_ops_applied,
-            ),
-            (
-                "routes_edit_forests_kept_total",
-                "Cached route forests surviving an edit batch.",
-                &self.edit_forests_kept,
-            ),
-            (
-                "routes_edit_forests_invalidated_total",
-                "Cached route forests invalidated by an edit batch.",
-                &self.edit_forests_invalidated,
-            ),
-        ] {
-            w.family(name, "counter", help);
-            w.sample(name, &[], counter.load(Relaxed));
-        }
-
-        for (name, help, counter) in [
-            (
-                "routes_pipeline_sessions_created_total",
-                "Multi-stage pipeline sessions created.",
-                &self.pipeline_sessions_created,
-            ),
-            (
-                "routes_pipeline_stage_chases_total",
-                "Stage chases run while creating pipeline sessions.",
-                &self.pipeline_stage_chases,
-            ),
-            (
-                "routes_pipeline_core_runs_total",
-                "Core minimization passes run on chased stage instances.",
-                &self.pipeline_core_runs,
-            ),
-            (
-                "routes_pipeline_core_tuples_removed_total",
-                "Tuples removed by core minimization.",
-                &self.pipeline_core_tuples_removed,
-            ),
-            (
-                "routes_pipeline_stitched_routes_total",
-                "Stitched end-to-end routes answered.",
-                &self.pipeline_stitched_routes,
-            ),
-            (
-                "routes_pipeline_stitched_hops_total",
-                "Per-hop routes inside answered stitched routes.",
-                &self.pipeline_stitched_hops,
-            ),
-        ] {
-            w.family(name, "counter", help);
-            w.sample(name, &[], counter.load(Relaxed));
-        }
-
-        for (name, help, value) in [
-            (
-                "routes_join_batches_total",
-                "Binding batches pushed through the vectorized join executor.",
-                join.batches,
-            ),
-            (
-                "routes_join_rows_probed_total",
-                "Candidate rows examined while extending binding batches.",
-                join.rows_probed,
-            ),
-            (
-                "routes_join_index_probes_total",
-                "Hash-index probe operations issued by the batch executor.",
-                join.index_probes,
-            ),
-            (
-                "routes_join_hash_builds_total",
-                "Hash-index builds, including incremental catch-ups.",
-                join.hash_builds,
-            ),
-            (
-                "routes_join_hash_build_rows_total",
-                "Rows inserted into hash indexes by builds and catch-ups.",
-                join.hash_build_rows,
-            ),
-        ] {
-            w.family(name, "counter", help);
-            w.sample(name, &[], value);
-        }
-
-        let latency: Vec<u64> = self.latency.iter().map(|c| c.load(Relaxed)).collect();
-        w.family(
-            "routes_request_latency_us",
-            "histogram",
-            "Whole-request latency in microseconds.",
-        );
-        w.histogram_with_exemplars(
-            "routes_request_latency_us",
-            &[],
-            &LATENCY_BUCKETS_US,
-            &latency,
-            None,
-            &self.exemplars(),
-        );
-
-        let window = self.window();
-        for (name, help, value) in [
-            (
-                "routes_window_seconds",
-                "Length of the rolling traffic window, in seconds.",
-                window.seconds as u64,
-            ),
-            (
-                "routes_window_requests",
-                "Requests recorded in the rolling window.",
-                window.requests,
-            ),
-            (
-                "routes_window_errors",
-                "5xx responses recorded in the rolling window.",
-                window.errors,
-            ),
-            (
-                "routes_window_rps_milli",
-                "Requests per second over the window, times 1000.",
-                window.rps_milli,
-            ),
-            (
-                "routes_window_error_rate_milli",
-                "Errors per request over the window, times 1000.",
-                window.error_rate_milli,
-            ),
-            (
-                "routes_window_latency_p50_us",
-                "Interpolated p50 request latency over the window, in microseconds.",
-                window.p50_us,
-            ),
-            (
-                "routes_window_latency_p90_us",
-                "Interpolated p90 request latency over the window, in microseconds.",
-                window.p90_us,
-            ),
-            (
-                "routes_window_latency_p99_us",
-                "Interpolated p99 request latency over the window, in microseconds.",
-                window.p99_us,
-            ),
-        ] {
-            w.family(name, "gauge", help);
-            w.sample(name, &[], value);
-        }
-        w.family(
-            "routes_phase_latency_us",
-            "histogram",
-            "Per-phase wall time in microseconds (chase, forest, route, print, edit).",
-        );
-        for p in Phase::ALL {
-            let stats = &self.phases[p as usize];
-            w.histogram(
-                "routes_phase_latency_us",
-                &[("phase", p.name())],
-                &LATENCY_BUCKETS_US,
-                &stats.latency_counts(),
-                Some(stats.total_us.load(Relaxed)),
-            );
-        }
-
-        w.family(
-            "routes_session_store_capacity",
-            "gauge",
-            "Session-store capacity (sessions).",
-        );
-        w.sample("routes_session_store_capacity", &[], store.capacity as u64);
-        w.family(
-            "routes_session_store_shards",
-            "gauge",
-            "Session-store shard count.",
-        );
-        w.sample(
-            "routes_session_store_shards",
-            &[],
-            store.shards.len() as u64,
-        );
-        for (name, help, value) in [
-            (
-                "routes_session_store_hits_total",
-                "Store-wide lookup hits.",
-                store.hits(),
-            ),
-            (
-                "routes_session_store_misses_total",
-                "Store-wide lookup misses.",
-                store.misses(),
-            ),
-            (
-                "routes_session_store_inserts_total",
-                "Store-wide inserts.",
-                store.inserts(),
-            ),
-            (
-                "routes_session_store_removes_total",
-                "Store-wide removes.",
-                store.removes(),
-            ),
-            (
-                "routes_session_store_evictions_total",
-                "Store-wide evictions.",
-                store.evictions(),
-            ),
-            (
-                "routes_session_store_evict_scan_steps_total",
-                "Entries examined while hunting eviction victims.",
-                store.evict_scan_steps(),
-            ),
-            (
-                "routes_session_store_write_locks_total",
-                "Store-wide shard write-lock acquisitions.",
-                store.write_locks(),
-            ),
-        ] {
-            w.family(name, "counter", help);
-            w.sample(name, &[], value);
-        }
-
-        w.family(
-            "routes_session_shard_sessions",
-            "gauge",
-            "Sessions resident per shard.",
-        );
-        let shard_labels: Vec<String> = (0..store.shards.len()).map(|i| i.to_string()).collect();
-        for (i, shard) in store.shards.iter().enumerate() {
-            w.sample(
-                "routes_session_shard_sessions",
-                &[("shard", &shard_labels[i])],
-                shard.sessions as u64,
-            );
-        }
-        w.family(
-            "routes_session_shard_capacity",
-            "gauge",
-            "Per-shard session capacity.",
-        );
-        for (i, shard) in store.shards.iter().enumerate() {
-            w.sample(
-                "routes_session_shard_capacity",
-                &[("shard", &shard_labels[i])],
-                shard.capacity as u64,
-            );
-        }
-        type ShardField = fn(&ShardSnapshot) -> u64;
-        let shard_counters: [(&str, &str, ShardField); 8] = [
-            (
-                "routes_session_shard_hits_total",
-                "Per-shard lookup hits.",
-                |s| s.hits,
-            ),
-            (
-                "routes_session_shard_misses_total",
-                "Per-shard lookup misses.",
-                |s| s.misses,
-            ),
-            (
-                "routes_session_shard_inserts_total",
-                "Per-shard inserts.",
-                |s| s.inserts,
-            ),
-            (
-                "routes_session_shard_removes_total",
-                "Per-shard removes.",
-                |s| s.removes,
-            ),
-            (
-                "routes_session_shard_evictions_total",
-                "Per-shard evictions.",
-                |s| s.evictions,
-            ),
-            (
-                "routes_session_shard_demotions_total",
-                "Segmented-LRU demotions from protected to probation.",
-                |s| s.demotions,
-            ),
-            (
-                "routes_session_shard_evict_scan_steps_total",
-                "Per-shard entries examined while hunting eviction victims.",
-                |s| s.evict_scan_steps,
-            ),
-            (
-                "routes_session_shard_write_locks_total",
-                "Per-shard write-lock acquisitions.",
-                |s| s.write_locks,
-            ),
-        ];
-        for (name, help, field) in shard_counters {
-            w.family(name, "counter", help);
-            for (i, shard) in store.shards.iter().enumerate() {
-                w.sample(name, &[("shard", &shard_labels[i])], field(shard));
-            }
-        }
-        w.family(
-            "routes_session_shard_lock_wait_us",
-            "histogram",
-            "Shard lock-acquisition wait in microseconds, by shard and mode.",
-        );
-        for (i, shard) in store.shards.iter().enumerate() {
-            for (mode, counts) in [
-                ("read", &shard.lock_wait_read_us),
-                ("write", &shard.lock_wait_write_us),
-            ] {
-                w.histogram(
-                    "routes_session_shard_lock_wait_us",
-                    &[("shard", &shard_labels[i]), ("mode", mode)],
-                    &LOCK_WAIT_BUCKETS_US,
-                    counts,
-                    None,
-                );
-            }
-        }
-
-        if let Some(p) = persist {
-            w.family(
-                "routes_wal_generation",
-                "gauge",
-                "Current WAL generation number.",
-            );
-            w.sample("routes_wal_generation", &[], p.wal_gen);
-            for (name, help, value) in [
-                (
-                    "routes_wal_appends_total",
-                    "WAL records appended.",
-                    p.wal_appends,
-                ),
-                ("routes_wal_bytes_total", "WAL bytes written.", p.wal_bytes),
-                (
-                    "routes_fsync_batches_total",
-                    "Group-commit fsync batches.",
-                    p.fsync_batches,
-                ),
-                (
-                    "routes_fsync_records_total",
-                    "WAL records made durable by fsync batches.",
-                    p.fsync_records,
-                ),
-                (
-                    "routes_snapshots_written_total",
-                    "Checkpoint snapshots written.",
-                    p.snapshots_written,
-                ),
-            ] {
-                w.family(name, "counter", help);
-                w.sample(name, &[], value);
-            }
-            w.family(
-                "routes_wal_records_since_checkpoint",
-                "gauge",
-                "WAL records appended since the last checkpoint.",
-            );
-            w.sample(
-                "routes_wal_records_since_checkpoint",
-                &[],
-                p.wal_records_since_checkpoint,
-            );
-            w.family(
-                "routes_fsync_latency_us",
-                "histogram",
-                "Group-commit fsync latency in microseconds.",
-            );
-            w.histogram(
-                "routes_fsync_latency_us",
-                &[],
-                &FSYNC_BUCKETS_US,
-                &p.fsync_latency_us,
-                None,
-            );
-            w.family(
-                "routes_wal_replayed_records",
-                "gauge",
-                "WAL records replayed during the last recovery.",
-            );
-            w.sample("routes_wal_replayed_records", &[], p.replayed_records);
-            w.family(
-                "routes_wal_restored_sessions",
-                "gauge",
-                "Sessions restored during the last recovery.",
-            );
-            w.sample("routes_wal_restored_sessions", &[], p.restored_sessions);
-            w.family(
-                "routes_recovery_us",
-                "gauge",
-                "Wall time of the last recovery in microseconds.",
-            );
-            w.sample("routes_recovery_us", &[], p.recovery_us);
-        }
-
         w.finish()
     }
+
+    fn sources<'a>(
+        &'a self,
+        store: &'a StoreSnapshot,
+        persist: Option<&'a PersistSnapshot>,
+        join: &'a JoinSnapshot,
+        threads: usize,
+    ) -> Sources<'a> {
+        Sources {
+            m: self,
+            store,
+            persist,
+            join,
+            threads,
+            window: self.window(),
+        }
+    }
+}
+
+fn load_all(counters: &[AtomicU64]) -> Vec<u64> {
+    counters.iter().map(|c| c.load(Relaxed)).collect()
+}
+
+/// Everything one `/metrics` render reads: the live counters, the
+/// snapshots the caller froze, and the traffic window aggregated once.
+struct Sources<'a> {
+    m: &'a Metrics,
+    store: &'a StoreSnapshot,
+    persist: Option<&'a PersistSnapshot>,
+    join: &'a JoinSnapshot,
+    threads: usize,
+    window: WindowSnapshot,
+}
+
+#[derive(Clone, Copy)]
+enum Kind {
+    Counter,
+    Gauge,
+    /// Per-bucket counts over these upper bounds (µs) plus an unbounded
+    /// tail.
+    Histogram(&'static [u64]),
+    /// A JSON-only repetition of a value another family exposes.
+    JsonOnly,
+}
+
+/// One series' value.
+enum Value {
+    Int(u64),
+    /// An info gauge: Prometheus samples `1` under the labels, JSON serves
+    /// the text.
+    Info(&'static str),
+    /// Per-bucket counts (one per bound plus the unbounded tail), the
+    /// `_sum` when tracked, and per-bucket `(trace_id, dur_us)` exemplars.
+    Hist {
+        counts: Vec<u64>,
+        sum: Option<u64>,
+        exemplars: Option<Vec<Option<(String, u64)>>>,
+    },
+}
+
+impl Value {
+    fn hist(counts: Vec<u64>) -> Value {
+        Value::Hist {
+            counts,
+            sum: None,
+            exemplars: None,
+        }
+    }
+}
+
+/// Receives a family's series as `(labels, value)`.
+type Emit<'e> = dyn FnMut(&[(&str, &str)], Value) + 'e;
+
+/// Where a family's series come from.
+enum Read {
+    /// One unlabeled sample: a [`Metrics`] counter.
+    Atomic(fn(&Metrics) -> &AtomicU64),
+    /// One unlabeled sample computed from the sources.
+    Scalar(fn(&Sources<'_>) -> u64),
+    /// One unlabeled sample, present only with a data directory.
+    Persist(fn(&PersistSnapshot) -> u64),
+    /// One `shard`-labeled sample per session-store shard.
+    Shard(fn(&ShardSnapshot) -> u64),
+    /// Whatever series the function emits.
+    Series(fn(&Sources<'_>, &mut Emit<'_>)),
+}
+
+/// One `/metrics` family: see the module docs.
+struct Family {
+    name: &'static str,
+    kind: Kind,
+    json: &'static str,
+    read: Read,
+    help: &'static str,
+}
+
+impl Family {
+    fn bounds(&self) -> &'static [u64] {
+        match self.kind {
+            Kind::Histogram(bounds) => bounds,
+            _ => &[],
+        }
+    }
+
+    /// Feed this family's series to `out`, in exposition order.
+    fn series(&self, s: &Sources<'_>, out: &mut Emit<'_>) {
+        match self.read {
+            Read::Atomic(counter) => out(&[], Value::Int(counter(s.m).load(Relaxed))),
+            Read::Scalar(read) => out(&[], Value::Int(read(s))),
+            Read::Persist(read) => {
+                if let Some(p) = s.persist {
+                    out(&[], Value::Int(read(p)));
+                }
+            }
+            Read::Shard(read) => {
+                for (i, shard) in s.store.shards.iter().enumerate() {
+                    out(&[("shard", &i.to_string())], Value::Int(read(shard)));
+                }
+            }
+            Read::Series(read) => read(s, out),
+        }
+    }
+}
+
+const fn row(
+    name: &'static str,
+    kind: Kind,
+    json: &'static str,
+    read: Read,
+    help: &'static str,
+) -> Family {
+    Family {
+        name,
+        kind,
+        json,
+        read,
+        help,
+    }
+}
+
+use Kind::{Counter, Gauge, Histogram, JsonOnly};
+use Read::{Atomic, Persist, Scalar, Series, Shard};
+
+/// Every `/metrics` family, in exposition order.
+#[rustfmt::skip]
+static FAMILIES: &[Family] = &[
+    row("routes_build_info", Gauge, "version", Series(build_info),
+        "Build metadata; the value is always 1."),
+    row("routes_uptime_seconds", Gauge, "uptime_seconds", Scalar(|s| s.m.uptime_seconds()),
+        "Seconds since the serving process started."),
+    row("routes_threads", Gauge, "threads", Scalar(|s| s.threads as u64),
+        "Worker pool width for parallel chase and forest construction."),
+    row("routes_requests_total", Counter, "requests_total", Atomic(|m| &m.requests_total),
+        "Requests handled (any status)."),
+    row("routes_responses_total", Counter, "responses_{class}", Series(responses),
+        "Responses by status class."),
+    row("routes_bad_requests_total", Counter, "bad_requests", Atomic(|m| &m.bad_requests),
+        "Requests rejected before dispatch (parse errors, limits)."),
+    row("routes_connections_accepted_total", Counter, "connections_accepted",
+        Atomic(|m| &m.connections_accepted),
+        "TCP connections accepted."),
+    row("routes_admission_queue_capacity", Gauge, "admission.queue_capacity",
+        Atomic(|m| &m.admission_queue_capacity),
+        "Bound of the acceptor's connection queue (--max-queue)."),
+    row("routes_admission_queue_depth", Gauge, "admission.queue_depth",
+        Atomic(|m| &m.admission_queue_depth),
+        "Connections currently waiting in the admission queue."),
+    row("routes_admission_admitted_total", Counter, "admission.admitted",
+        Atomic(|m| &m.admission_admitted),
+        "Connections admitted into the acceptor's queue."),
+    row("routes_admission_shed_total", Counter, "admission.shed", Atomic(|m| &m.admission_shed),
+        "Connections shed at the door with 429 Too Many Requests."),
+    row("routes_admission_timeouts_total", Counter, "admission.timeouts",
+        Atomic(|m| &m.admission_timeouts),
+        "Requests answered 408 after the request deadline expired."),
+    row("routes_admission_reaped_total", Counter, "admission.reaped",
+        Atomic(|m| &m.admission_reaped),
+        "Connections force-closed by a deadline (stalled readers/writers)."),
+    row("routes_admission_queue_wait_us", Histogram(&LATENCY_BUCKETS_US), "admission.queue_wait_us",
+        Series(|s, out| out(&[], Value::hist(s.m.queue_wait_counts()))),
+        "Time connections spent queued before a worker popped them, in microseconds."),
+    row("routes_live_sessions", Gauge, "live_sessions", Scalar(|s| s.store.live() as u64),
+        "Sessions currently resident in the store."),
+    row("routes_sessions_created_total", Counter, "sessions_created",
+        Atomic(|m| &m.sessions_created),
+        "Sessions created."),
+    row("routes_sessions_deleted_total", Counter, "sessions_deleted",
+        Atomic(|m| &m.sessions_deleted),
+        "Sessions deleted by clients."),
+    row("routes_sessions_evicted_total", Counter, "sessions_evicted",
+        Atomic(|m| &m.sessions_evicted),
+        "Sessions evicted at capacity."),
+    row("routes_one_routes_computed_total", Counter, "one_routes_computed",
+        Atomic(|m| &m.one_routes_computed),
+        "ComputeOneRoute invocations."),
+    row("routes_all_routes_computed_total", Counter, "all_routes_computed",
+        Atomic(|m| &m.all_routes_computed),
+        "ComputeAllRoutes invocations."),
+    row("routes_forest_cache_hits_total", Counter, "forest_cache_hits",
+        Atomic(|m| &m.forest_cache_hits),
+        "Route-forest memo hits."),
+    row("routes_forest_cache_misses_total", Counter, "forest_cache_misses",
+        Atomic(|m| &m.forest_cache_misses),
+        "Route-forest memo misses (forest built)."),
+    row("routes_edits_applied_total", Counter, "edits.applied", Atomic(|m| &m.edits_applied),
+        "Edit batches applied."),
+    row("routes_edits_rejected_total", Counter, "edits.rejected", Atomic(|m| &m.edits_rejected),
+        "Edit batches rejected by validation."),
+    row("routes_edit_ops_applied_total", Counter, "edits.ops_applied",
+        Atomic(|m| &m.edit_ops_applied),
+        "Individual edit ops applied (across batches)."),
+    row("routes_edit_forests_kept_total", Counter, "edits.forests_kept",
+        Atomic(|m| &m.edit_forests_kept),
+        "Cached route forests surviving an edit batch."),
+    row("routes_edit_forests_invalidated_total", Counter, "edits.forests_invalidated",
+        Atomic(|m| &m.edit_forests_invalidated),
+        "Cached route forests invalidated by an edit batch."),
+    row("routes_pipeline_sessions_created_total", Counter, "pipeline.sessions_created",
+        Atomic(|m| &m.pipeline_sessions_created),
+        "Multi-stage pipeline sessions created."),
+    row("routes_pipeline_stage_chases_total", Counter, "pipeline.stage_chases",
+        Atomic(|m| &m.pipeline_stage_chases),
+        "Stage chases run while creating pipeline sessions."),
+    row("routes_pipeline_core_runs_total", Counter, "pipeline.core_runs",
+        Atomic(|m| &m.pipeline_core_runs),
+        "Core minimization passes run on chased stage instances."),
+    row("routes_pipeline_core_tuples_removed_total", Counter, "pipeline.core_tuples_removed",
+        Atomic(|m| &m.pipeline_core_tuples_removed),
+        "Tuples removed by core minimization."),
+    row("routes_pipeline_stitched_routes_total", Counter, "pipeline.stitched_routes",
+        Atomic(|m| &m.pipeline_stitched_routes),
+        "Stitched end-to-end routes answered."),
+    row("routes_pipeline_stitched_hops_total", Counter, "pipeline.stitched_hops",
+        Atomic(|m| &m.pipeline_stitched_hops),
+        "Per-hop routes inside answered stitched routes."),
+    row("routes_join_batches_total", Counter, "join.batches", Scalar(|s| s.join.batches),
+        "Binding batches pushed through the vectorized join executor."),
+    row("routes_join_rows_probed_total", Counter, "join.rows_probed",
+        Scalar(|s| s.join.rows_probed),
+        "Candidate rows examined while extending binding batches."),
+    row("routes_join_index_probes_total", Counter, "join.index_probes",
+        Scalar(|s| s.join.index_probes),
+        "Hash-index probe operations issued by the batch executor."),
+    row("routes_join_hash_builds_total", Counter, "join.hash_builds",
+        Scalar(|s| s.join.hash_builds),
+        "Hash-index builds, including incremental catch-ups."),
+    row("routes_join_hash_build_rows_total", Counter, "join.hash_build_rows",
+        Scalar(|s| s.join.hash_build_rows),
+        "Rows inserted into hash indexes by builds and catch-ups."),
+    row("routes_request_latency_us", Histogram(&LATENCY_BUCKETS_US), "latency_us",
+        Series(request_latency),
+        "Whole-request latency in microseconds."),
+    row("routes_window_seconds", Gauge, "window.seconds", Scalar(|s| s.window.seconds as u64),
+        "Length of the rolling traffic window, in seconds."),
+    row("routes_window_requests", Gauge, "window.requests", Scalar(|s| s.window.requests),
+        "Requests recorded in the rolling window."),
+    row("routes_window_errors", Gauge, "window.errors", Scalar(|s| s.window.errors),
+        "5xx responses recorded in the rolling window."),
+    row("routes_window_rps_milli", Gauge, "window.rps_milli", Scalar(|s| s.window.rps_milli),
+        "Requests per second over the window, times 1000."),
+    row("routes_window_error_rate_milli", Gauge, "window.error_rate_milli",
+        Scalar(|s| s.window.error_rate_milli),
+        "Errors per request over the window, times 1000."),
+    row("routes_window_latency_p50_us", Gauge, "window.p50_us", Scalar(|s| s.window.p50_us),
+        "Interpolated p50 request latency over the window, in microseconds."),
+    row("routes_window_latency_p90_us", Gauge, "window.p90_us", Scalar(|s| s.window.p90_us),
+        "Interpolated p90 request latency over the window, in microseconds."),
+    row("routes_window_latency_p99_us", Gauge, "window.p99_us", Scalar(|s| s.window.p99_us),
+        "Interpolated p99 request latency over the window, in microseconds."),
+    row("routes_phase_latency_us", Histogram(&LATENCY_BUCKETS_US), "phases.{phase}",
+        Series(phases),
+        "Per-phase wall time in microseconds (chase, forest, route, print, edit)."),
+    row("routes_session_store_capacity", Gauge, "session_store.capacity",
+        Scalar(|s| s.store.capacity as u64),
+        "Session-store capacity (sessions)."),
+    row("routes_session_store_shards", Gauge, "session_store.shard_count",
+        Scalar(|s| s.store.shards.len() as u64),
+        "Session-store shard count."),
+    row("", JsonOnly, "session_store.live_sessions", Scalar(|s| s.store.live() as u64), ""),
+    row("routes_session_store_hits_total", Counter, "session_store.hits",
+        Scalar(|s| s.store.hits()),
+        "Store-wide lookup hits."),
+    row("routes_session_store_misses_total", Counter, "session_store.misses",
+        Scalar(|s| s.store.misses()),
+        "Store-wide lookup misses."),
+    row("routes_session_store_inserts_total", Counter, "session_store.inserts",
+        Scalar(|s| s.store.inserts()),
+        "Store-wide inserts."),
+    row("routes_session_store_removes_total", Counter, "session_store.removes",
+        Scalar(|s| s.store.removes()),
+        "Store-wide removes."),
+    row("routes_session_store_evictions_total", Counter, "session_store.evictions",
+        Scalar(|s| s.store.evictions()),
+        "Store-wide evictions."),
+    row("routes_session_store_evict_scan_steps_total", Counter, "session_store.evict_scan_steps",
+        Scalar(|s| s.store.evict_scan_steps()),
+        "Entries examined while hunting eviction victims."),
+    row("routes_session_store_write_locks_total", Counter, "session_store.write_locks",
+        Scalar(|s| s.store.write_locks()),
+        "Store-wide shard write-lock acquisitions."),
+    row("routes_session_shard_sessions", Gauge, "session_store.shards[{shard}].sessions",
+        Shard(|s| s.sessions as u64),
+        "Sessions resident per shard."),
+    row("routes_session_shard_capacity", Gauge, "session_store.shards[{shard}].capacity",
+        Shard(|s| s.capacity as u64),
+        "Per-shard session capacity."),
+    row("routes_session_shard_hits_total", Counter, "session_store.shards[{shard}].hits",
+        Shard(|s| s.hits),
+        "Per-shard lookup hits."),
+    row("routes_session_shard_misses_total", Counter, "session_store.shards[{shard}].misses",
+        Shard(|s| s.misses),
+        "Per-shard lookup misses."),
+    row("routes_session_shard_inserts_total", Counter, "session_store.shards[{shard}].inserts",
+        Shard(|s| s.inserts),
+        "Per-shard inserts."),
+    row("routes_session_shard_removes_total", Counter, "session_store.shards[{shard}].removes",
+        Shard(|s| s.removes),
+        "Per-shard removes."),
+    row("routes_session_shard_evictions_total", Counter, "session_store.shards[{shard}].evictions",
+        Shard(|s| s.evictions),
+        "Per-shard evictions."),
+    row("routes_session_shard_demotions_total", Counter, "session_store.shards[{shard}].demotions",
+        Shard(|s| s.demotions),
+        "Segmented-LRU demotions from protected to probation."),
+    row("routes_session_shard_evict_scan_steps_total", Counter,
+        "session_store.shards[{shard}].evict_scan_steps",
+        Shard(|s| s.evict_scan_steps),
+        "Per-shard entries examined while hunting eviction victims."),
+    row("routes_session_shard_write_locks_total", Counter,
+        "session_store.shards[{shard}].write_locks",
+        Shard(|s| s.write_locks),
+        "Per-shard write-lock acquisitions."),
+    row("routes_session_shard_lock_wait_us", Histogram(&LOCK_WAIT_BUCKETS_US),
+        "session_store.shards[{shard}].lock_wait_{mode}_us",
+        Series(lock_waits),
+        "Shard lock-acquisition wait in microseconds, by shard and mode."),
+    row("routes_wal_generation", Gauge, "persistence.wal_gen", Persist(|p| p.wal_gen),
+        "Current WAL generation number."),
+    row("routes_wal_appends_total", Counter, "persistence.wal_appends", Persist(|p| p.wal_appends),
+        "WAL records appended."),
+    row("routes_wal_bytes_total", Counter, "persistence.wal_bytes", Persist(|p| p.wal_bytes),
+        "WAL bytes written."),
+    row("routes_fsync_batches_total", Counter, "persistence.fsync_batches",
+        Persist(|p| p.fsync_batches),
+        "Group-commit fsync batches."),
+    row("routes_fsync_records_total", Counter, "persistence.fsync_records",
+        Persist(|p| p.fsync_records),
+        "WAL records made durable by fsync batches."),
+    row("routes_snapshots_written_total", Counter, "persistence.snapshots_written",
+        Persist(|p| p.snapshots_written),
+        "Checkpoint snapshots written."),
+    row("routes_wal_records_since_checkpoint", Gauge, "persistence.wal_records_since_checkpoint",
+        Persist(|p| p.wal_records_since_checkpoint),
+        "WAL records appended since the last checkpoint."),
+    row("routes_fsync_latency_us", Histogram(&FSYNC_BUCKETS_US), "persistence.fsync_latency_us",
+        Series(fsync_latency),
+        "Group-commit fsync latency in microseconds."),
+    row("routes_wal_replayed_records", Gauge, "persistence.replayed_records",
+        Persist(|p| p.replayed_records),
+        "WAL records replayed during the last recovery."),
+    row("routes_wal_restored_sessions", Gauge, "persistence.restored_sessions",
+        Persist(|p| p.restored_sessions),
+        "Sessions restored during the last recovery."),
+    row("routes_recovery_us", Gauge, "persistence.recovery_us", Persist(|p| p.recovery_us),
+        "Wall time of the last recovery in microseconds."),
+];
+
+fn build_info(_: &Sources<'_>, out: &mut Emit<'_>) {
+    let version = env!("CARGO_PKG_VERSION");
+    out(&[("version", version)], Value::Info(version));
+}
+
+fn responses(s: &Sources<'_>, out: &mut Emit<'_>) {
+    for (class, counter) in [
+        ("2xx", &s.m.responses_2xx),
+        ("4xx", &s.m.responses_4xx),
+        ("5xx", &s.m.responses_5xx),
+    ] {
+        out(&[("class", class)], Value::Int(counter.load(Relaxed)));
+    }
+}
+
+fn request_latency(s: &Sources<'_>, out: &mut Emit<'_>) {
+    let value = Value::Hist {
+        counts: load_all(&s.m.latency),
+        sum: None,
+        exemplars: Some(s.m.exemplars()),
+    };
+    out(&[], value);
+}
+
+fn phases(s: &Sources<'_>, out: &mut Emit<'_>) {
+    for p in Phase::ALL {
+        let stats = s.m.phase(p);
+        let value = Value::Hist {
+            counts: load_all(&stats.latency),
+            sum: Some(stats.total_us.load(Relaxed)),
+            exemplars: None,
+        };
+        out(&[("phase", p.name())], value);
+    }
+}
+
+fn lock_waits(s: &Sources<'_>, out: &mut Emit<'_>) {
+    for (i, shard) in s.store.shards.iter().enumerate() {
+        let shard_label = i.to_string();
+        for (mode, counts) in [
+            ("read", &shard.lock_wait_read_us),
+            ("write", &shard.lock_wait_write_us),
+        ] {
+            let labels = [("shard", shard_label.as_str()), ("mode", mode)];
+            out(&labels, Value::hist(counts.clone()));
+        }
+    }
+}
+
+fn fsync_latency(s: &Sources<'_>, out: &mut Emit<'_>) {
+    if let Some(p) = s.persist {
+        out(&[], Value::hist(p.fsync_latency_us.clone()));
+    }
+}
+
+/// `template` with every `{label}` replaced by that label's value.
+fn fill(template: &str, labels: &[(&str, &str)]) -> String {
+    labels
+        .iter()
+        .fold(template.to_owned(), |path, (label, value)| {
+            path.replace(&format!("{{{label}}}"), value)
+        })
+}
+
+/// The value at `path` under the object `root`, created (as an empty
+/// object, or an array padded with them) on the way down.
+fn slot<'j>(root: &'j mut Json, path: &str) -> &'j mut Json {
+    path.split('.').fold(root, |node, segment| {
+        let (key, index) = match segment.strip_suffix(']').and_then(|s| s.split_once('[')) {
+            Some((key, i)) => (
+                key,
+                Some(i.parse::<usize>().expect("array index in a JSON path")),
+            ),
+            None => (segment, None),
+        };
+        let Json::Object(fields) = node else {
+            unreachable!("JSON path `{path}` crosses a non-object")
+        };
+        let at = match fields.iter().position(|(k, _)| k == key) {
+            Some(at) => at,
+            None => {
+                let empty = match index {
+                    Some(_) => Json::Array(Vec::new()),
+                    None => Json::Object(Vec::new()),
+                };
+                fields.push((key.to_owned(), empty));
+                fields.len() - 1
+            }
+        };
+        match (index, &mut fields[at].1) {
+            (None, child) => child,
+            (Some(i), Json::Array(items)) => {
+                if items.len() <= i {
+                    items.resize(i + 1, Json::Object(Vec::new()));
+                }
+                &mut items[i]
+            }
+            (Some(_), _) => unreachable!("JSON path `{path}` indexes a non-array"),
+        }
+    })
+}
+
+/// A histogram bucket's `le_us` in JSON: its bound, `inf` for the tail.
+fn le_us(bounds: &[u64], i: usize) -> Json {
+    Json::from(
+        bounds
+            .get(i)
+            .map_or_else(|| "inf".to_owned(), |b| b.to_string()),
+    )
+}
+
+fn buckets_json(bounds: &[u64], counts: &[u64]) -> Json {
+    Json::Array(
+        counts
+            .iter()
+            .enumerate()
+            .map(|(i, &count)| {
+                Json::obj([("le_us", le_us(bounds, i)), ("count", Json::from(count))])
+            })
+            .collect(),
+    )
+}
+
+fn exemplars_json(bounds: &[u64], exemplars: Vec<Option<(String, u64)>>) -> Json {
+    Json::Array(
+        exemplars
+            .into_iter()
+            .enumerate()
+            .filter_map(|(i, e)| e.map(|e| (i, e)))
+            .map(|(i, (trace, dur))| {
+                Json::obj([
+                    ("le_us", le_us(bounds, i)),
+                    ("trace_id", Json::from(trace)),
+                    ("dur_us", Json::from(dur)),
+                ])
+            })
+            .collect(),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::SessionStore;
+
+    /// What `GET /metrics` serves for `m` over a one-shard store holding
+    /// `live` sessions, without persistence or join counters.
+    fn json(m: &Metrics, live: usize, threads: usize) -> Json {
+        let mut store = SessionStore::with_shards(1, 1).snapshot();
+        store.shards[0].sessions = live;
+        m.to_json_with_store(&store, None, &JoinSnapshot::default(), threads)
+    }
 
     #[test]
     fn responses_land_in_class_and_latency_buckets() {
@@ -1215,7 +883,7 @@ mod tests {
         assert_eq!(m.responses_2xx.load(Relaxed), 2);
         assert_eq!(m.responses_4xx.load(Relaxed), 1);
         assert_eq!(m.responses_5xx.load(Relaxed), 1);
-        let snapshot = m.to_json(3, 2);
+        let snapshot = json(&m, 3, 2);
         assert_eq!(
             snapshot.get("version").unwrap().as_str(),
             Some(env!("CARGO_PKG_VERSION")),
@@ -1258,8 +926,8 @@ mod tests {
         assert_eq!(exemplars[0], Some(("slow".to_owned(), 80)));
         assert_eq!(exemplars[1], Some(("err".to_owned(), 300)));
         assert!(exemplars[2..].iter().all(|e| e.is_none()));
-        let json = m.to_json(0, 1);
-        let rendered = json.get("exemplars").unwrap().as_array().unwrap();
+        let rendered = json(&m, 0, 1);
+        let rendered = rendered.get("exemplars").unwrap().as_array().unwrap();
         assert_eq!(rendered.len(), 2);
         assert_eq!(rendered[0].get("trace_id").unwrap().as_str(), Some("slow"));
         assert_eq!(rendered[0].get("le_us").unwrap().as_str(), Some("100"));
@@ -1268,8 +936,6 @@ mod tests {
 
     #[test]
     fn empty_window_renders_zero_gauges_at_boot() {
-        use crate::session::SessionStore;
-
         let m = Metrics::new();
         let store = SessionStore::with_shards(1, 1);
         let text = m.to_prometheus(&store.snapshot(), None, &JoinSnapshot::default(), 1);
@@ -1286,14 +952,12 @@ mod tests {
         }
         assert!(text.contains(&format!(
             "routes_window_seconds {}",
-            crate::window::DEFAULT_WINDOW_SECONDS
+            crate::window::WINDOW_SECONDS
         )));
     }
 
     #[test]
     fn prometheus_buckets_carry_the_exemplar_annotation() {
-        use crate::session::SessionStore;
-
         let m = Metrics::new();
         m.record_response(200, Duration::from_micros(70), Some("abc123"));
         let store = SessionStore::with_shards(1, 1);
@@ -1308,7 +972,6 @@ mod tests {
 
     #[test]
     fn store_snapshot_renders_totals_shards_and_lock_wait_histograms() {
-        use crate::session::SessionStore;
         use routes_chase::ChaseOptions;
         use routes_cli::{load_scenario_str, prepare_scenario};
         use routes_pool::Pool;
@@ -1366,8 +1029,6 @@ mod tests {
 
     #[test]
     fn persistence_block_renders_counters_and_fsync_histogram() {
-        use crate::session::SessionStore;
-
         let p = PersistSnapshot {
             wal_gen: 2,
             wal_appends: 7,
@@ -1391,8 +1052,6 @@ mod tests {
 
     #[test]
     fn join_block_renders_the_batch_executor_counters() {
-        use crate::session::SessionStore;
-
         let j = JoinSnapshot {
             batches: 5,
             rows_probed: 40,
@@ -1421,10 +1080,11 @@ mod tests {
         m.record_phase(Phase::Chase, Duration::from_micros(90));
         m.record_phase(Phase::Chase, Duration::from_micros(400));
         m.record_phase(Phase::Forest, Duration::from_millis(2));
-        assert_eq!(m.phase(Phase::Chase).count.load(Relaxed), 2);
+        let count = |p| load_all(&m.phase(p).latency).iter().sum::<u64>();
+        assert_eq!(count(Phase::Chase), 2);
         assert_eq!(m.phase(Phase::Chase).total_us.load(Relaxed), 490);
-        assert_eq!(m.phase(Phase::Route).count.load(Relaxed), 0);
-        let snapshot = m.to_json(0, 1);
+        assert_eq!(count(Phase::Route), 0);
+        let snapshot = json(&m, 0, 1);
         let phases = snapshot.get("phases").unwrap();
         for p in Phase::ALL {
             let entry = phases.get(p.name()).unwrap();

@@ -10,7 +10,7 @@
 //!
 //! The ring holds `N` slots, each stamped with the epoch second (seconds
 //! since ring creation) it currently represents; a recording thread maps
-//! `now_epoch % N` to a slot and, when the stamp is outdated, CASes the
+//! `epoch() % N` to a slot and, when the stamp is outdated, CASes the
 //! stamp forward and zeroes the slot's counters (lazy reset — no ticker
 //! thread needed). A snapshot sums every slot whose stamp still lies
 //! within the last `N` seconds, so slots untouched since their second
@@ -34,26 +34,9 @@ use std::time::Instant;
 
 use crate::metrics::LATENCY_BUCKETS_US;
 
-/// Environment knob: how many one-second slots the window ring holds.
-pub const WINDOW_SECONDS_ENV: &str = "ROUTES_WINDOW_SECONDS";
-
-/// Default window length in seconds.
-pub const DEFAULT_WINDOW_SECONDS: usize = 10;
-
-/// Largest accepted window length (bounds memory: one slot per second).
-pub const MAX_WINDOW_SECONDS: usize = 3600;
-
-/// Resolve the window length from the environment (clamped to
-/// `1..=MAX_WINDOW_SECONDS`; unset or unparsable means the default).
-pub fn window_seconds_from_env() -> usize {
-    match std::env::var(WINDOW_SECONDS_ENV) {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) => n.clamp(1, MAX_WINDOW_SECONDS),
-            Err(_) => DEFAULT_WINDOW_SECONDS,
-        },
-        Err(_) => DEFAULT_WINDOW_SECONDS,
-    }
-}
+/// Window length in seconds: the ring `/metrics` serves as its `window`
+/// block holds this many one-second slots.
+pub const WINDOW_SECONDS: usize = 10;
 
 /// One second of traffic.
 struct Slot {
@@ -112,6 +95,13 @@ pub struct WindowSnapshot {
     pub p99_us: u64,
 }
 
+/// The ring `/metrics` serves: [`WINDOW_SECONDS`] slots.
+impl Default for WindowRing {
+    fn default() -> WindowRing {
+        WindowRing::new(WINDOW_SECONDS)
+    }
+}
+
 impl WindowRing {
     /// A ring of `seconds` one-second slots (at least one).
     pub fn new(seconds: usize) -> WindowRing {
@@ -126,18 +116,19 @@ impl WindowRing {
         self.slots.len()
     }
 
-    fn now_epoch(&self) -> u64 {
+    /// Whole seconds since the ring was created: the current epoch second.
+    pub fn epoch(&self) -> u64 {
         self.started.elapsed().as_secs()
     }
 
     /// Record one response in the current second.
     pub fn record(&self, status: u16, latency_us: u64) {
-        self.record_at(self.now_epoch(), status, latency_us);
+        self.record_at(self.epoch(), status, latency_us);
     }
 
     /// Aggregate the last `seconds()` seconds.
     pub fn snapshot(&self) -> WindowSnapshot {
-        self.snapshot_at(self.now_epoch())
+        self.snapshot_at(self.epoch())
     }
 
     fn record_at(&self, epoch: u64, status: u16, latency_us: u64) {

@@ -158,6 +158,95 @@ fn exposition_matches_the_golden_file() {
     );
 }
 
+/// The `Metrics` fixture of [`exposition_matches_the_golden_file`], for
+/// the JSON golden.
+fn golden_metrics() -> Metrics {
+    use std::sync::atomic::Ordering::Relaxed;
+    let m = Metrics::new();
+    m.record_response(200, Duration::from_micros(80), Some("gold01"));
+    m.record_response(201, Duration::from_micros(600), None);
+    m.record_response(404, Duration::from_millis(2), None);
+    m.record_response(500, Duration::from_secs(2), None);
+    m.record_phase(Phase::Chase, Duration::from_micros(90));
+    m.record_phase(Phase::Chase, Duration::from_micros(450));
+    m.record_phase(Phase::Forest, Duration::from_millis(3));
+    m.record_phase(Phase::Route, Duration::from_micros(40));
+    m.record_phase(Phase::Print, Duration::from_micros(20));
+    m.record_phase(Phase::Edit, Duration::from_micros(700));
+    m.record_queue_wait(Duration::from_micros(40));
+    m.record_queue_wait(Duration::from_millis(8));
+    for (counter, value) in [
+        (&m.bad_requests, 2),
+        (&m.connections_accepted, 6),
+        (&m.admission_queue_capacity, 64),
+        (&m.admission_queue_depth, 1),
+        (&m.admission_admitted, 5),
+        (&m.admission_shed, 2),
+        (&m.admission_timeouts, 1),
+        (&m.admission_reaped, 1),
+        (&m.sessions_created, 5),
+        (&m.sessions_deleted, 1),
+        (&m.sessions_evicted, 2),
+        (&m.one_routes_computed, 3),
+        (&m.all_routes_computed, 4),
+        (&m.forest_cache_hits, 2),
+        (&m.forest_cache_misses, 2),
+        (&m.edits_applied, 3),
+        (&m.edits_rejected, 1),
+        (&m.edit_ops_applied, 9),
+        (&m.edit_forests_kept, 4),
+        (&m.edit_forests_invalidated, 2),
+        (&m.pipeline_sessions_created, 2),
+        (&m.pipeline_stage_chases, 5),
+        (&m.pipeline_core_runs, 3),
+        (&m.pipeline_core_tuples_removed, 7),
+        (&m.pipeline_stitched_routes, 4),
+        (&m.pipeline_stitched_hops, 10),
+    ] {
+        counter.store(value, Relaxed);
+    }
+    m
+}
+
+/// `json` with every object's keys sorted, recursively: objects then
+/// compare as maps while arrays keep their order.
+fn sorted_keys(json: &Json) -> Json {
+    match json {
+        Json::Object(fields) => {
+            let mut fields: Vec<(String, Json)> = fields
+                .iter()
+                .map(|(k, v)| (k.clone(), sorted_keys(v)))
+                .collect();
+            fields.sort_by(|a, b| a.0.cmp(&b.0));
+            Json::Object(fields)
+        }
+        Json::Array(items) => Json::Array(items.iter().map(sorted_keys).collect()),
+        other => other.clone(),
+    }
+}
+
+#[test]
+fn json_snapshot_matches_the_golden_file() {
+    let m = golden_metrics();
+    let mut json = m.to_json_with_store(&fixed_store(), Some(&fixed_persist()), &fixed_join(), 4);
+    // Uptime is the only wall-clock-dependent value; normalize it.
+    if let Json::Object(fields) = &mut json {
+        for (key, value) in fields.iter_mut() {
+            if key == "uptime_seconds" {
+                *value = Json::from(0u64);
+            }
+        }
+    }
+    let golden_path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/metrics.json");
+    let golden = std::fs::read_to_string(golden_path).expect("golden file exists");
+    let golden = parse(&golden).expect("golden file is JSON");
+    assert_eq!(
+        sorted_keys(&json),
+        sorted_keys(&golden),
+        "to_json_with_store drifted from tests/golden/metrics.json"
+    );
+}
+
 /// Parse an exposition into `series-with-labels -> value` plus
 /// `series -> (exemplar trace_id, exemplar value)` for bucket lines
 /// carrying an OpenMetrics-style ` # {trace_id="…"} N` annotation,

@@ -7,7 +7,7 @@ cd "$(dirname "$0")/.."
 
 cargo fmt --all --check
 cargo build --release --workspace --offline
-cargo test -q --offline
+cargo test -q --offline --workspace
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
 # Parallel-execution determinism gate: the chase and route-forest results
